@@ -62,7 +62,7 @@ impl PineconeSystem {
             encoder: TextEncoder::new(space.clone()),
             sampler: Sampler::new(QualityModel::new(space, 0xCC33, floor)),
             capacity: cache_capacity,
-            index: EmbeddingIndex::new(),
+            index: EmbeddingIndex::with_capacity(cache_capacity),
             images: HashMap::new(),
             fifo: VecDeque::new(),
             next_key: 0,

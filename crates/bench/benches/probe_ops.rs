@@ -5,7 +5,8 @@
 //!
 //! * `cache_retrieve` — `ImageCache::retrieve` on a full 128-entry shard
 //!   (the fleet's per-node slice), hit and miss mixes, exact flat scan
-//!   vs the anchored inverted index;
+//!   vs the anchored inverted index; plus `exact_10k`, the exact scan of
+//!   a full cache at the paper's 10k entries (the single tier's shape);
 //! * `cache_insert` — insert-with-eviction on the same shard, per
 //!   backend;
 //! * `cluster_of` — the affinity leader probe at the fleet's 512-leader
@@ -72,6 +73,36 @@ fn main() {
             );
         });
     }
+
+    // The paper's cache: 10k entries, FIFO, exact scan.
+    let paper_prompt = |i: usize| format!("gallery {} motif {i} lantern", i % 97);
+    let mut cache = ImageCache::new(CacheConfig::fifo(10_000));
+    for i in 0..10_000 {
+        let e = text.encode(&paper_prompt(i));
+        let img = sampler.generate(ModelId::Sd35Large, &e, &mut rng);
+        cache.insert(SimTime::from_micros(i as u64), img);
+    }
+    let paper_hits: Vec<_> = (0..256)
+        .map(|i| text.encode(&paper_prompt(i * 37)))
+        .collect();
+    let mut i = 0usize;
+    bench.measure("cache_retrieve_hit/exact_10k", || {
+        i += 1;
+        cache.retrieve(
+            SimTime::from_micros(20_000 + i as u64),
+            &paper_hits[i % 256],
+            0.25,
+        )
+    });
+    let mut j = 0usize;
+    bench.measure("cache_retrieve_miss/exact_10k", || {
+        j += 1;
+        cache.retrieve(
+            SimTime::from_micros(40_000 + j as u64),
+            &miss_queries[j % 256],
+            0.25,
+        )
+    });
 
     for (name, policy) in [
         ("exact", IndexPolicy::Exact),

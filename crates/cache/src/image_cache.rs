@@ -45,7 +45,7 @@ impl CacheIndex {
         } else if policy.selects_ivf(capacity) {
             CacheIndex::Ivf(IvfIndex::new(dim, 256, 12))
         } else {
-            CacheIndex::Flat(EmbeddingIndex::new())
+            CacheIndex::Flat(EmbeddingIndex::with_capacity(capacity))
         }
     }
 
@@ -936,6 +936,23 @@ mod tests {
         assert!(cache.retrieve(now, &q_same, 0.25).is_some());
         assert!(cache.retrieve(now, &q_far, 0.25).is_none());
         assert!((cache.stats().hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn unbounded_capacity_falls_back_to_lazy_growth() {
+        // `MoDMConfig` puts no upper bound on the capacity the flat index
+        // pre-sizes for: an unallocatable reservation must not panic.
+        let mut f = fixture();
+        let mut cache = ImageCache::new(
+            CacheConfig::fifo(usize::MAX / 2).with_index_policy(IndexPolicy::Exact),
+        );
+        assert_eq!(cache.index_backend(), "flat");
+        let p = "ancient castle soaring mountains dawn watercolor painting misty golden";
+        cache.insert(SimTime::ZERO, image_for(&mut f, p));
+        cache.insert(SimTime::ZERO, image_for(&mut f, "amber fjord dawn"));
+        assert_eq!(cache.len(), 2);
+        let q = f.text.encode(p);
+        assert!(cache.retrieve(SimTime::ZERO, &q, 0.25).is_some());
     }
 
     #[test]

@@ -4,9 +4,20 @@
 //! matmul on GPU (0.05 s over 100k entries, §5.2). A flat scan over 64-d
 //! vectors reproduces that cost profile in simulation and keeps results
 //! exact; removals (FIFO eviction) are O(1) via slot recycling.
+//!
+//! The index keeps its f64 rows and, beside them, a blocked f32
+//! [`ShadowMatrix`] of the same rows. [`EmbeddingIndex::nearest`] scores
+//! the shadow (half the bytes, a vectorised inner loop) and rescores a row
+//! in f64 with `unit_dot`, in slot order, unless its f32 score is more
+//! than the derived rounding bound [`score_slack`](crate::shadow::score_slack)
+//! (≈ 3.9e-6 at dim 64) below the best so far. The key and similarity
+//! bits it returns are therefore those of the sequential f64 scan, ties
+//! included (the lowest slot wins).
 
 use std::collections::HashMap;
 
+use crate::probe::unit_f32_into;
+use crate::shadow::ShadowMatrix;
 use crate::space::Embedding;
 
 /// Dot product of two unit vectors, clamped to the cosine range. Stored
@@ -49,13 +60,16 @@ pub struct Neighbor<K> {
 #[derive(Debug, Clone)]
 pub struct EmbeddingIndex<K> {
     keys: Vec<Option<K>>,
-    /// Slot-indexed `dim`-strided rows in one contiguous allocation, so the
-    /// scan in [`EmbeddingIndex::nearest`] streams cache lines instead of
-    /// chasing a heap pointer per entry. Rows of removed slots keep their
-    /// stale values (skipped via `keys`) until recycled.
+    /// Slot-indexed `dim`-strided rows in one contiguous allocation: the
+    /// values every returned similarity is computed from. Rows of removed
+    /// slots keep their stale values (skipped via `keys`) until recycled.
     vectors: Vec<f64>,
+    /// f32 shadow of `vectors`, slot for slot, driving the certified scan.
+    shadow: ShadowMatrix,
     /// Row stride; learned from the first inserted embedding.
     dim: usize,
+    /// Slots to reserve once `dim` is known (see [`EmbeddingIndex::with_capacity`]).
+    reserve: usize,
     free_slots: Vec<usize>,
     by_key: HashMap<K, usize>,
     live: usize,
@@ -70,13 +84,37 @@ impl<K: Copy + Eq + std::hash::Hash> Default for EmbeddingIndex<K> {
 impl<K: Copy + Eq + std::hash::Hash> EmbeddingIndex<K> {
     /// Creates an empty index.
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Creates an empty index that reserves its row storage for
+    /// `capacity` entries on the first insert (when the dimension is
+    /// learned), so a cache filling to its capacity never reallocates.
+    /// The reservation is best effort: a capacity whose storage overflows
+    /// or cannot be allocated leaves the index to grow lazily.
+    pub fn with_capacity(capacity: usize) -> Self {
         EmbeddingIndex {
             keys: Vec::new(),
             vectors: Vec::new(),
+            shadow: ShadowMatrix::new(0),
             dim: 0,
+            reserve: capacity,
             free_slots: Vec::new(),
             by_key: HashMap::new(),
             live: 0,
+        }
+    }
+
+    /// Learns the row stride and makes the one up-front reservation.
+    fn init_dim(&mut self, dim: usize) {
+        self.dim = dim;
+        self.shadow = ShadowMatrix::new(dim);
+        let rows = self.reserve;
+        if self.keys.try_reserve_exact(rows).is_ok() {
+            if let Some(n) = rows.checked_mul(dim) {
+                let _ = self.vectors.try_reserve_exact(n);
+            }
+            self.shadow.try_reserve_rows(rows);
         }
     }
 
@@ -104,11 +142,12 @@ impl<K: Copy + Eq + std::hash::Hash> EmbeddingIndex<K> {
     pub fn insert(&mut self, key: K, embedding: Embedding) {
         let values = embedding.as_slice();
         if self.dim == 0 {
-            self.dim = values.len();
+            self.init_dim(values.len());
         }
         assert_eq!(values.len(), self.dim, "embedding dimension mismatch");
         if let Some(&slot) = self.by_key.get(&key) {
             self.vectors[slot * self.dim..(slot + 1) * self.dim].copy_from_slice(values);
+            self.shadow.set_row(slot, values, 1.0);
             return;
         }
         let slot = if let Some(s) = self.free_slots.pop() {
@@ -120,6 +159,7 @@ impl<K: Copy + Eq + std::hash::Hash> EmbeddingIndex<K> {
             self.vectors.extend_from_slice(values);
             self.keys.len() - 1
         };
+        self.shadow.set_row(slot, values, 1.0);
         self.by_key.insert(key, slot);
         self.live += 1;
     }
@@ -142,20 +182,29 @@ impl<K: Copy + Eq + std::hash::Hash> EmbeddingIndex<K> {
     }
 
     /// The single most similar entry to `query`, if any entry is live.
+    ///
+    /// Bit-identical to scoring every live slot with the clamped f64 dot in slot
+    /// order and keeping the first strict maximum; the [`ShadowMatrix`]
+    /// scan only skips rows it proves cannot win.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query`'s dimension differs from the stored rows'.
     pub fn nearest(&self, query: &Embedding) -> Option<Neighbor<K>> {
-        let q = query.as_slice();
-        let mut best: Option<Neighbor<K>> = None;
-        for (slot, key) in self.keys.iter().enumerate() {
-            let Some(k) = key else { continue };
-            let sim = unit_dot(q, self.row(slot));
-            if best.is_none_or(|b| sim > b.similarity) {
-                best = Some(Neighbor {
-                    key: *k,
-                    similarity: sim,
-                });
-            }
+        if self.live == 0 {
+            return None;
         }
-        best
+        let q = query.as_slice();
+        let mut q32 = Vec::with_capacity(self.dim);
+        unit_f32_into(q, 1.0, &mut q32);
+        self.shadow
+            .argmax(
+                &q32,
+                std::iter::once(0..self.keys.len()),
+                |slot| self.keys[slot],
+                |slot| unit_dot(q, self.row(slot)),
+            )
+            .map(|(key, similarity)| Neighbor { key, similarity })
     }
 
     /// The most similar entry at or above `threshold`, mirroring the paper's

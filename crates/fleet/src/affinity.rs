@@ -15,7 +15,7 @@
 //! leader retires (matching the workload's trending-recency structure).
 
 use modm_embedding::probe::unit_f32_into;
-use modm_embedding::{Embedding, IndexPolicy, TwoLevelProbe};
+use modm_embedding::{Embedding, IndexPolicy, ShadowMatrix, TwoLevelProbe};
 use modm_numerics::vector;
 
 /// Maps embeddings to coarse semantic clusters by online leader
@@ -65,8 +65,12 @@ pub struct SemanticClusterer {
     /// exactly when `policy` approximates the leader probe and at least
     /// one leader has been admitted (the dimension is learned then).
     approx: Option<TwoLevelProbe>,
-    /// Reused f32 query buffer for the approximate probe, so the hot
-    /// path performs no per-request allocation.
+    /// Blocked f32 shadow of `mat` (rows scaled by their norms) driving
+    /// the exact probe's certified scan. Kept only while `approx` is
+    /// `None`; empty otherwise.
+    shadow: ShadowMatrix,
+    /// Reused f32 query buffer for both probes, so the hot path performs
+    /// no per-request allocation.
     q32_scratch: Vec<f32>,
 }
 
@@ -117,6 +121,7 @@ impl SemanticClusterer {
             next_id: 0,
             policy,
             approx: None,
+            shadow: ShadowMatrix::new(0),
             q32_scratch: Vec::new(),
         }
     }
@@ -142,13 +147,23 @@ impl SemanticClusterer {
     pub fn set_index_policy(&mut self, policy: IndexPolicy) {
         self.policy = policy;
         self.approx = None;
-        if policy.approximates_leader_probe(self.max_leaders) && self.dim != 0 {
+        self.shadow = ShadowMatrix::new(self.dim);
+        if self.dim == 0 {
+            return;
+        }
+        if policy.approximates_leader_probe(self.max_leaders) {
             let mut probe = TwoLevelProbe::new(self.dim, self.max_leaders);
             for slot in 0..self.ids.len() {
                 let row = &self.mat[slot * self.dim..(slot + 1) * self.dim];
                 probe.set(slot, row, self.norms[slot]);
             }
             self.approx = Some(probe);
+        } else {
+            self.shadow.try_reserve_rows(self.max_leaders);
+            for slot in 0..self.ids.len() {
+                let row = &self.mat[slot * self.dim..(slot + 1) * self.dim];
+                self.shadow.set_row(slot, row, self.norms[slot]);
+            }
         }
     }
 
@@ -160,43 +175,21 @@ impl SemanticClusterer {
     /// The coarse cluster of an embedding: the id of the nearest leader
     /// within the threshold, or a freshly minted cluster otherwise.
     ///
-    /// The scan must stay bit-identical to probing each leader with
+    /// Under `Exact` the probe is bit-identical to probing each leader with
     /// [`Embedding::cosine`] in admission order (first strict maximum
-    /// wins), so it walks slots oldest-first and scores with
-    /// [`vector::cosine_with_norms`] — the query norm hoisted out of the
-    /// loop and leader norms cached at admission, both pure functions of
-    /// the same values the naive probe reads.
+    /// wins). It scores leaders with [`vector::cosine_with_norms`] — the
+    /// query norm hoisted out of the loop and leader norms cached at
+    /// admission, both pure functions of the same values the naive probe
+    /// reads — through [`ShadowMatrix::argmax`]: every leader first gets an
+    /// f32 score from a blocked f32 shadow of the leader table, and is
+    /// rescored in f64, oldest first, unless that score is more than a
+    /// rounding bound derived from the dimension
+    /// ([`score_slack`](modm_embedding::shadow::score_slack), ≈ 3.9e-6 at
+    /// dim 64) below the best so far — so no skipped leader could have won.
     pub fn cluster_of(&mut self, embedding: &Embedding) -> u64 {
         let q = embedding.as_slice();
         let qn = vector::l2_norm(q);
-        if let Some(probe) = self.approx.as_ref() {
-            // Approximate path: one pruned pass over the partitions. The
-            // join floor sits a hair under the threshold so the f32/f64
-            // boundary cannot flip a should-join into a mint; partitions
-            // whose triangle-inequality bound cannot reach the floor are
-            // skipped, so a probed miss no longer pays a full-table scan.
-            unit_f32_into(q, qn, &mut self.q32_scratch);
-            let floor = (self.threshold - 1e-3) as f32;
-            if let Some((slot, sim)) = probe.resolve(&self.q32_scratch, floor) {
-                if f64::from(sim) >= self.threshold {
-                    return self.ids[slot];
-                }
-            }
-            let id = self.next_id;
-            self.next_id += 1;
-            self.admit(id, q, qn);
-            return id;
-        }
-        let mut best: Option<(u64, f64)> = None;
-        for k in 0..self.len {
-            let slot = self.slot_at(k);
-            let row = &self.mat[slot * self.dim..(slot + 1) * self.dim];
-            let sim = vector::cosine_with_norms(q, qn, row, self.norms[slot]);
-            if best.is_none_or(|(_, b)| sim > b) {
-                best = Some((self.ids[slot], sim));
-            }
-        }
-        if let Some((id, sim)) = best {
+        if let Some((id, sim)) = self.probe(q, qn) {
             if sim >= self.threshold {
                 return id;
             }
@@ -205,6 +198,47 @@ impl SemanticClusterer {
         self.next_id += 1;
         self.admit(id, q, qn);
         id
+    }
+
+    /// The nearest leader's cluster id and cosine, as [`Self::cluster_of`]
+    /// probes it, without admitting anything. `None` when no leader is
+    /// live (or, under an approximate policy, none reaches the join
+    /// floor).
+    pub fn nearest_leader(&mut self, embedding: &Embedding) -> Option<(u64, f64)> {
+        let q = embedding.as_slice();
+        self.probe(q, vector::l2_norm(q))
+    }
+
+    /// The leader probe behind [`Self::cluster_of`]. Admission order is
+    /// the ring from `head`, i.e. two ascending slot ranges.
+    fn probe(&mut self, q: &[f64], qn: f64) -> Option<(u64, f64)> {
+        if self.len == 0 {
+            return None;
+        }
+        unit_f32_into(q, qn, &mut self.q32_scratch);
+        if let Some(probe) = self.approx.as_ref() {
+            // Approximate path: one pruned pass over the partitions. The
+            // join floor sits a hair under the threshold so the f32/f64
+            // boundary cannot flip a should-join into a mint; partitions
+            // whose triangle-inequality bound cannot reach the floor are
+            // skipped, so a probed miss no longer pays a full-table scan.
+            let floor = (self.threshold - 1e-3) as f32;
+            return probe
+                .resolve(&self.q32_scratch, floor)
+                .map(|(slot, sim)| (self.ids[slot], f64::from(sim)));
+        }
+        let end = self.head + self.len;
+        let wrapped = end.saturating_sub(self.max_leaders);
+        let ranges = [self.head..end.min(self.max_leaders), 0..wrapped];
+        self.shadow.argmax(
+            &self.q32_scratch,
+            ranges,
+            |slot| Some(self.ids[slot]),
+            |slot| {
+                let row = &self.mat[slot * self.dim..(slot + 1) * self.dim];
+                vector::cosine_with_norms(q, qn, row, self.norms[slot])
+            },
+        )
     }
 
     /// Slot index of the `k`-th leader in admission order.
@@ -221,9 +255,7 @@ impl SemanticClusterer {
     fn admit(&mut self, id: u64, values: &[f64], norm: f64) {
         if self.dim == 0 {
             self.dim = values.len();
-            if self.policy.approximates_leader_probe(self.max_leaders) {
-                self.approx = Some(TwoLevelProbe::new(self.dim, self.max_leaders));
-            }
+            self.set_index_policy(self.policy);
         }
         assert_eq!(values.len(), self.dim, "leader dimension mismatch");
         let slot = if self.len < self.max_leaders {
@@ -248,8 +280,9 @@ impl SemanticClusterer {
             self.head = self.slot_at(1);
             slot
         };
-        if let Some(probe) = self.approx.as_mut() {
-            probe.set(slot, values, norm);
+        match self.approx.as_mut() {
+            Some(probe) => probe.set(slot, values, norm),
+            None => self.shadow.set_row(slot, values, norm),
         }
     }
 }

@@ -10,19 +10,22 @@
 //! * **reference models** — the rebuilt structures replayed op-for-op
 //!   against naive models with the documented semantics (a stably
 //!   sorted vector for the event queue, a `VecDeque` for the intrusive
-//!   list, an admission-ordered linear scan for the clusterer);
+//!   list, an admission-ordered linear scan for the clusterer, a
+//!   slot-ordered linear scan for the flat index — the last two pin the
+//!   shadow-matrix argmax kernel to the sequential f64 scans, down to
+//!   the similarity bits);
 //! * **run-to-run determinism** — every serving tier (single node,
 //!   fleet, elastic, scenario) executed twice per seed and compared on
 //!   its full debug rendering, so any hidden iteration-order or
 //!   float-reassociation drift fails loudly.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 use modm::cache::IndexedList;
 use modm::cluster::GpuKind;
 use modm::core::MoDMConfig;
 use modm::deploy::{Deployment, ServingBackend};
-use modm::embedding::{Embedding, IndexPolicy};
+use modm::embedding::{Embedding, EmbeddingIndex, IndexPolicy};
 use modm::fleet::{Fleet, Router, RoutingConfig, RoutingPolicy, SemanticClusterer};
 use modm::scenario::RetryPolicy;
 use modm::simkit::{EventQueue, SimRng, SimTime};
@@ -193,6 +196,175 @@ fn indexed_list_matches_deque_reference_under_arbitrary_ops() {
     }
 }
 
+/// Dimensions the kernel sweeps run at: partial 16-row blocks
+/// everywhere, and widths that are not multiples of any vector width.
+const KERNEL_DIMS: [usize; 5] = [2, 3, 17, 64, 100];
+
+/// A query or row palette entry: mostly Gaussian directions, plus
+/// lattice vectors with components in {-1, 0, 1}, whose dot products tie
+/// exactly (in f32 and in f64) and so exercise the first-strict-max rule.
+fn kernel_vector(rng: &mut SimRng, dim: usize) -> Vec<f64> {
+    if rng.chance(0.4) {
+        (0..dim).map(|_| rng.index(3) as f64 - 1.0).collect()
+    } else {
+        (0..dim).map(|_| rng.standard_normal()).collect()
+    }
+}
+
+/// `base` nudged by ~1e-7 per component: its scores differ from `base`'s
+/// by less than the f32 rounding, so the shadow alone cannot order the
+/// two, and only the certified f64 rescoring can.
+fn near_copy(rng: &mut SimRng, base: &[f64]) -> Embedding {
+    Embedding::from_vec(
+        base.iter()
+            .map(|x| x + 1e-7 * rng.standard_normal())
+            .collect(),
+    )
+}
+
+/// The sequential scan's score: `acc += x * y` in order, clamped.
+fn sequential_unit_dot(a: &[f64], b: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for (x, y) in a.iter().zip(b) {
+        acc += x * y;
+    }
+    acc.clamp(-1.0, 1.0)
+}
+
+/// Reference model for [`EmbeddingIndex`]: slots recycled last-freed
+/// first, replacement in place, and `nearest` as one sequential f64 pass
+/// in slot order keeping the first strict maximum.
+#[derive(Default)]
+struct NaiveIndex {
+    slots: Vec<Option<(u64, Vec<f64>)>>,
+    free: Vec<usize>,
+    by_key: HashMap<u64, usize>,
+}
+
+impl NaiveIndex {
+    fn insert(&mut self, key: u64, e: &Embedding) {
+        let row = (key, e.as_slice().to_vec());
+        if let Some(&slot) = self.by_key.get(&key) {
+            self.slots[slot] = Some(row);
+            return;
+        }
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(row);
+                slot
+            }
+            None => {
+                self.slots.push(Some(row));
+                self.slots.len() - 1
+            }
+        };
+        self.by_key.insert(key, slot);
+    }
+
+    fn remove(&mut self, key: u64) -> bool {
+        let Some(slot) = self.by_key.remove(&key) else {
+            return false;
+        };
+        self.slots[slot] = None;
+        self.free.push(slot);
+        true
+    }
+
+    fn nearest(&self, q: &Embedding) -> Option<(u64, u64)> {
+        let mut best: Option<(u64, f64)> = None;
+        for (key, row) in self.slots.iter().flatten() {
+            let sim = sequential_unit_dot(q.as_slice(), row);
+            if best.is_none_or(|(_, b)| sim > b) {
+                best = Some((*key, sim));
+            }
+        }
+        best.map(|(key, sim)| (key, sim.to_bits()))
+    }
+}
+
+#[test]
+fn flat_index_matches_sequential_scan_reference() {
+    for seed in sweep_seeds() {
+        for dim in KERNEL_DIMS {
+            let mut rng = SimRng::seed_from(seed.wrapping_mul(0x5EED_F1A7) ^ dim as u64);
+            let mut fast: EmbeddingIndex<u64> = EmbeddingIndex::with_capacity(48);
+            let mut naive = NaiveIndex::default();
+            let zero = Embedding::from_vec(vec![0.0; dim]);
+            assert!(fast.nearest(&zero).is_none(), "empty index");
+            let mut stored: Vec<Embedding> = Vec::new();
+            let mut next_key = 0u64;
+            let mut queries = 0usize;
+            for step in 0..1_500 {
+                let live: Vec<u64> = naive.by_key.keys().copied().collect();
+                match rng.index(10) {
+                    // Fresh key: a new vector, a duplicate of a stored
+                    // row (the tie must go to the lowest slot), or a
+                    // near-copy of one (a near-tie below f32 resolution).
+                    0..=2 => {
+                        let e = if stored.is_empty() || rng.chance(0.4) {
+                            Embedding::from_vec(kernel_vector(&mut rng, dim))
+                        } else if rng.chance(0.5) {
+                            stored[rng.index(stored.len())].clone()
+                        } else {
+                            let i = rng.index(stored.len());
+                            near_copy(&mut rng, stored[i].as_slice())
+                        };
+                        fast.insert(next_key, e.clone());
+                        naive.insert(next_key, &e);
+                        stored.push(e);
+                        next_key += 1;
+                    }
+                    // Replacement insert under a live key.
+                    3 if !live.is_empty() => {
+                        let key = live[rng.index(live.len())];
+                        let e = Embedding::from_vec(kernel_vector(&mut rng, dim));
+                        fast.insert(key, e.clone());
+                        naive.insert(key, &e);
+                    }
+                    // Removal (slot recycling), now and then of every
+                    // entry, leaving an all-dead index.
+                    4..=5 => {
+                        let doomed: Vec<u64> = if rng.chance(0.03) {
+                            live
+                        } else if live.is_empty() {
+                            vec![next_key + 7]
+                        } else {
+                            vec![live[rng.index(live.len())]]
+                        };
+                        for key in doomed {
+                            assert_eq!(fast.remove(&key), naive.remove(key));
+                        }
+                    }
+                    _ => {
+                        let q = match rng.index(6) {
+                            0 => zero.clone(),
+                            1 if !stored.is_empty() => stored[rng.index(stored.len())].clone(),
+                            2 if !stored.is_empty() => {
+                                let i = rng.index(stored.len());
+                                near_copy(&mut rng, stored[i].as_slice())
+                            }
+                            _ => Embedding::from_vec(kernel_vector(&mut rng, dim)),
+                        };
+                        assert_eq!(
+                            fast.nearest(&q).map(|n| (n.key, n.similarity.to_bits())),
+                            naive.nearest(&q),
+                            "seed {seed}, dim {dim}, step {step}"
+                        );
+                        queries += 1;
+                    }
+                }
+                assert_eq!(fast.len(), naive.by_key.len());
+            }
+            assert!(queries > 500, "seed {seed}, dim {dim}: {queries} queries");
+            // All dead: every slot allocated, none live.
+            for key in naive.by_key.keys().copied().collect::<Vec<_>>() {
+                assert!(fast.remove(&key) && naive.remove(key));
+            }
+            assert!(fast.nearest(&zero).is_none(), "all-dead index");
+        }
+    }
+}
+
 /// Reference model for [`SemanticClusterer`]: leaders in admission
 /// order, probed with [`Embedding::cosine`], first strict maximum wins,
 /// oldest leader retired when the table is full.
@@ -204,7 +376,7 @@ struct NaiveClusterer {
 }
 
 impl NaiveClusterer {
-    fn cluster_of(&mut self, query: &Embedding) -> u64 {
+    fn nearest(&self, query: &Embedding) -> Option<(u64, f64)> {
         let mut best: Option<(u64, f64)> = None;
         for (id, leader) in &self.leaders {
             let sim = query.cosine(leader);
@@ -212,7 +384,11 @@ impl NaiveClusterer {
                 best = Some((*id, sim));
             }
         }
-        if let Some((id, sim)) = best {
+        best
+    }
+
+    fn cluster_of(&mut self, query: &Embedding) -> u64 {
+        if let Some((id, sim)) = self.nearest(query) {
             if sim >= self.threshold {
                 return id;
             }
@@ -230,33 +406,59 @@ impl NaiveClusterer {
 #[test]
 fn clusterer_matches_naive_admission_order_scan() {
     for seed in sweep_seeds() {
-        let mut rng = SimRng::seed_from(seed.wrapping_mul(0xA5A5) ^ 0xC10C);
-        let max_leaders = 12;
-        let threshold = 0.7;
-        let mut fast = SemanticClusterer::new(threshold, max_leaders);
-        let mut naive = NaiveClusterer {
-            threshold,
-            max_leaders,
-            leaders: VecDeque::new(),
-            next_id: 0,
-        };
-        // A handful of base directions plus jitter: enough reuse to
-        // exercise joins, enough novelty to exercise ring retirement.
-        let dim = 16;
-        let bases: Vec<Vec<f64>> = (0..8)
-            .map(|_| (0..dim).map(|_| rng.uniform_in(-1.0, 1.0)).collect())
-            .collect();
-        for step in 0..2_000 {
-            let base = &bases[rng.index(bases.len())];
-            let v: Vec<f64> = base.iter().map(|x| x + rng.uniform_in(-0.4, 0.4)).collect();
-            let e = Embedding::from_vec(v);
-            assert_eq!(
-                fast.cluster_of(&e),
-                naive.cluster_of(&e),
-                "seed {seed}: cluster assignment diverged at step {step}"
+        for dim in KERNEL_DIMS {
+            let mut rng = SimRng::seed_from(seed.wrapping_mul(0xA5A5) ^ 0xC10C ^ dim as u64);
+            let max_leaders = 12;
+            let threshold = 0.7;
+            let mut fast = SemanticClusterer::new(threshold, max_leaders);
+            let mut naive = NaiveClusterer {
+                threshold,
+                max_leaders,
+                leaders: VecDeque::new(),
+                next_id: 0,
+            };
+            // A handful of base directions plus jitter: enough reuse to
+            // exercise joins, enough novelty to exercise ring retirement.
+            // Lattice queries and the zero query tie several leaders
+            // exactly, where the oldest must win; the bisector of two
+            // live leaders, nudged, ties them to within f32 resolution.
+            let bases: Vec<Vec<f64>> = (0..8)
+                .map(|_| (0..dim).map(|_| rng.uniform_in(-1.0, 1.0)).collect())
+                .collect();
+            for step in 0..2_000 {
+                let v: Vec<f64> = match rng.index(9) {
+                    0 => vec![0.0; dim],
+                    1..=2 => kernel_vector(&mut rng, dim),
+                    3 if naive.leaders.len() >= 2 => {
+                        let a = naive.leaders[rng.index(naive.leaders.len())].1.as_slice();
+                        let b = naive.leaders[rng.index(naive.leaders.len())].1.as_slice();
+                        let mid: Vec<f64> = a.iter().zip(b).map(|(x, y)| x + y).collect();
+                        near_copy(&mut rng, &mid).as_slice().to_vec()
+                    }
+                    _ => {
+                        let base = &bases[rng.index(bases.len())];
+                        base.iter().map(|x| x + rng.uniform_in(-0.4, 0.4)).collect()
+                    }
+                };
+                let e = Embedding::from_vec(v);
+                assert_eq!(
+                    fast.nearest_leader(&e).map(|(id, sim)| (id, sim.to_bits())),
+                    naive.nearest(&e).map(|(id, sim)| (id, sim.to_bits())),
+                    "seed {seed}, dim {dim}: nearest leader diverged at step {step}"
+                );
+                assert_eq!(
+                    fast.cluster_of(&e),
+                    naive.cluster_of(&e),
+                    "seed {seed}, dim {dim}: cluster assignment diverged at step {step}"
+                );
+            }
+            assert_eq!(fast.num_leaders(), naive.leaders.len(), "seed {seed}");
+            assert!(
+                naive.next_id > 2 * max_leaders as u64,
+                "seed {seed}, dim {dim}: the leader ring must wrap ({} mints)",
+                naive.next_id
             );
         }
-        assert_eq!(fast.num_leaders(), naive.leaders.len(), "seed {seed}");
     }
 }
 
